@@ -129,6 +129,27 @@ void TraceWriter::pump() {
   while (pending_.size() - consumed_ >= block_events_) {
     write_block(block_events_);
   }
+  // Move the sub-block tail to the front: appends rarely end on a block
+  // boundary, so without this the written prefix would stay buffered and
+  // the buffer would grow with the run instead of holding less than one
+  // block between appends.
+  if (consumed_ > 0) {
+    const auto written = static_cast<std::ptrdiff_t>(consumed_);
+    const auto drop = [written](auto& col) {
+      col.erase(col.begin(), col.begin() + written);
+    };
+    // A cell column that does not span the buffer is absent (view() drops
+    // it), so it has no tail to keep.
+    if (pending_.cell.size() == pending_.ts.size()) {
+      drop(pending_.cell);
+    } else {
+      pending_.cell.clear();
+    }
+    drop(pending_.ts);
+    drop(pending_.ue);
+    drop(pending_.type);
+    consumed_ = 0;
+  }
 }
 
 void TraceWriter::flush() {

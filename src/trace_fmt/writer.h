@@ -87,6 +87,9 @@ class TraceWriter {
     return events_committed_;
   }
   std::uint64_t events_appended() const noexcept { return events_appended_; }
+  // Events held in the append buffer, written or not: less than one block
+  // after every append that wrote cleanly.
+  std::size_t buffered_events() const noexcept { return pending_.size(); }
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }
   const std::string& path() const noexcept { return path_; }
 

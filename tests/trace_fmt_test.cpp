@@ -4,6 +4,7 @@
 // kill/resume, and the cpgt <-> CSV byte-identity the converter guarantees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -144,6 +145,34 @@ TEST_F(CpgtFile, WriterReaderRoundTripManyBlocks) {
     got.insert(got.end(), block.begin(), block.end());
   }
   EXPECT_EQ(reader.total_events(), evs.size());
+  EXPECT_EQ(got, evs);
+}
+
+TEST_F(CpgtFile, WriterBufferStaysUnderTwoBlocksOnMisalignedAppends) {
+  // Append sizes that never line up with block_events: the written prefix
+  // must leave the buffer, or it grows with the run.
+  const std::vector<DeviceType> devices{DeviceType::phone, DeviceType::tablet};
+  const std::vector<ControlEvent> evs = make_events(20'000, devices.size());
+  constexpr std::size_t k_block = 1000;
+  tf::TraceWriter::Options opts;
+  opts.block_events = k_block;
+  tf::TraceWriter writer(path("w.cpgt"), opts);
+  writer.begin(devices, 0, 3'600'000);
+  std::size_t i = 0;
+  for (std::size_t step = 0; i < evs.size(); ++step) {
+    const std::size_t chunk =
+        std::min<std::size_t>(step % 2 == 0 ? 337 : 1301, evs.size() - i);
+    writer.append({evs.data() + i, chunk});
+    i += chunk;
+    ASSERT_LT(writer.buffered_events(), 2 * k_block) << "after " << i;
+  }
+  writer.finish();
+
+  tf::TraceReader reader(path("w.cpgt"));
+  std::vector<ControlEvent> got, block;
+  while (reader.next_events(block)) {
+    got.insert(got.end(), block.begin(), block.end());
+  }
   EXPECT_EQ(got, evs);
 }
 

@@ -40,22 +40,13 @@ class TransportSink final : public stream::EventSink,
     transport_.send(FrameType::hello, encode_hello(h));
   }
 
-  void on_event(const ControlEvent& e) override { on_events({&e, 1}); }
-
-  void on_events(std::span<const ControlEvent> events) override {
-    slice_events_ += events.size();
-    while (!events.empty()) {
-      const std::size_t n = std::min(events.size(), k_events_per_frame);
-      payload_.clear();
-      append_events(payload_, events.first(n));
-      transport_.send(FrameType::events, payload_);
-      events = events.subspan(n);
-    }
+  void on_event(const ControlEvent& e) override {
+    on_event_columns(EventColumnsView{&e.t_ms, &e.ue_id, &e.type, 1});
   }
 
-  // Columnar path straight off the runtime's merge buffers. A spatial rank's
-  // batches carry the cell column and ship as events_cells frames; without
-  // cells this encodes the same 13-byte records on_events would.
+  // The runtime delivers columns straight off its merge buffers. A spatial
+  // rank's batches carry the cell column and ship as events_cells frames;
+  // without cells they ship as 13-byte event records.
   void on_event_columns(const EventColumnsView& cols) override {
     slice_events_ += cols.n;
     std::size_t i = 0;

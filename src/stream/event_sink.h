@@ -1,8 +1,9 @@
 // Pluggable consumers for the streaming generation runtime.
 //
-// The runtime (stream_generator.h) delivers a single globally time-ordered
-// event stream to an EventSink on the consumer thread: on_start() once with
-// the UE registry, then on_event() per event in canonical trace order
+// Both runtimes deliver a single globally time-ordered event stream to an
+// EventSink through one consumer loop (stream/consumer.h): on_start() once
+// with the UE registry, then on_event_columns() per merged slice — or per
+// run of equal timestamps when paced — in canonical trace order
 // (event_time_less), then on_finish() once. Sinks are not called
 // concurrently, so they need no internal locking.
 #pragma once
@@ -44,19 +45,20 @@ class EventSink {
   virtual void on_start(const StreamHeader& header) { (void)header; }
   virtual void on_event(const ControlEvent& e) = 0;
   // Batch delivery: the same events in the same canonical order as
-  // repeated on_event calls, but one virtual dispatch per merged slice
-  // instead of per event. The runtime uses this whenever it is not pacing
-  // deliveries; sinks with cheap bulk handling should override.
+  // repeated on_event calls, but one virtual dispatch per span instead of
+  // per event. The runtime reaches it through the on_event_columns shim;
+  // sinks with cheap bulk handling should override.
   virtual void on_events(std::span<const ControlEvent> events) {
     for (const ControlEvent& e : events) on_event(e);
   }
-  // Columnar delivery: the same events in the same canonical order as the
-  // equivalent on_events span, but as SoA column views straight out of the
-  // runtime's merge buffers. Sinks that consume columns (the cpgt binary
-  // sink, counting) override this and skip the AoS round-trip; everything
-  // else falls back through this materializing shim, which gathers into a
-  // reused scratch vector and forwards to on_events — so a sink written
-  // before columns existed behaves exactly as it always has.
+  // Columnar delivery, the runtime's only delivery call: the same events in
+  // the same canonical order as the equivalent on_events span, but as SoA
+  // column views straight out of the merge buffers. Sinks that consume
+  // columns (the cpgt binary sink, counting) override this and skip the AoS
+  // round-trip; everything else falls back through this materializing shim,
+  // which gathers into a reused scratch vector and forwards to on_events —
+  // so a sink written before columns existed behaves exactly as it always
+  // has.
   virtual void on_event_columns(const EventColumnsView& cols) {
     if (cols.empty()) return;
     columns_shim_.clear();
@@ -105,49 +107,6 @@ class SliceListener {
   virtual ~SliceListener() = default;
   virtual void on_slice_delivered(std::uint64_t slice) = 0;
 };
-
-// Delivers one sorted batch, split at the schedule's pending phase change
-// points: spans with no boundary inside reach the sink in one on_events
-// call, and `apply(phase_index)` fires for every point crossed (-1 = gap)
-// before the first event at or after it. The in-process consumer and the
-// distributed coordinator share this helper, so phase effects land at
-// identical stream positions in either runtime.
-template <typename Apply>
-void deliver_phased(EventSink& sink, std::span<const ControlEvent> evs,
-                    PhaseSchedule& schedule, Apply&& apply) {
-  std::size_t i = 0;
-  while (schedule.has_pending() && !evs.empty() &&
-         evs.back().t_ms >= schedule.next_time()) {
-    const auto it = std::lower_bound(
-        evs.begin() + static_cast<std::ptrdiff_t>(i), evs.end(),
-        schedule.next_time(),
-        [](const ControlEvent& e, TimeMs t) { return e.t_ms < t; });
-    const auto cut = static_cast<std::size_t>(it - evs.begin());
-    if (cut > i) sink.on_events(evs.subspan(i, cut - i));
-    schedule.fire_until(it->t_ms, apply);
-    i = cut;
-  }
-  if (i < evs.size() || i == 0) sink.on_events(evs.subspan(i));
-}
-
-// Columnar twin of deliver_phased: identical split points (binary search on
-// the timestamp column), identical phase-effect positions, but each span
-// reaches the sink through on_event_columns.
-template <typename Apply>
-void deliver_phased_columns(EventSink& sink, const EventColumnsView& evs,
-                            PhaseSchedule& schedule, Apply&& apply) {
-  std::size_t i = 0;
-  while (schedule.has_pending() && !evs.empty() &&
-         evs.ts[evs.n - 1] >= schedule.next_time()) {
-    const TimeMs* it = std::lower_bound(evs.ts + i, evs.ts + evs.n,
-                                        schedule.next_time());
-    const auto cut = static_cast<std::size_t>(it - evs.ts);
-    if (cut > i) sink.on_event_columns(evs.subview(i, cut - i));
-    schedule.fire_until(*it, apply);
-    i = cut;
-  }
-  if (i < evs.n || i == 0) sink.on_event_columns(evs.subview(i, evs.n - i));
-}
 
 // Adapts a callable; useful for ad-hoc consumers and tests.
 class CallbackSink final : public EventSink {

@@ -14,9 +14,10 @@
 //   3. pushes per-shard slice batches through bounded queues
 //      (backpressure: a slow sink blocks the producers, nothing is
 //      dropped), and
-//   4. k-way merges the shard batches of each slice through a min-heap on
-//      the consumer thread, pacing delivery (as-fast-as-possible /
-//      real-time / N×-accelerated) into a pluggable EventSink.
+//   4. gallop-merges the shard batches of each slice on the calling thread
+//      and delivers them, paced (as-fast-as-possible / real-time /
+//      N×-accelerated), into a pluggable EventSink — through the consumer
+//      loop the distributed coordinator shares (stream/consumer.h).
 //
 // Determinism contract: for a fixed seed the delivered event sequence is
 // byte-identical to the finalized output of gen::generate_trace, for any

@@ -4,9 +4,12 @@
 // CSV sink byte-compatibility, and live MCN ingest parity.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -17,12 +20,14 @@
 #include "mcn/simulator.h"
 #include "model/fit.h"
 #include "obs/metrics.h"
+#include "stream/binary_sink.h"
 #include "stream/bounded_queue.h"
 #include "stream/csv_sink.h"
 #include "spatial/config.h"
 #include "stream/mcn_sink.h"
 #include "stream/stream_generator.h"
 #include "test_util.h"
+#include "trace_fmt/reader.h"
 
 namespace cpg::stream {
 namespace {
@@ -414,6 +419,41 @@ TEST(Spatial, CellsAreByteIdenticalAcrossShardsSlicesThreads) {
       }
     }
   }
+}
+
+TEST(Spatial, PacedRunKeepsItsCells) {
+  // Paced delivery is columnar too: an accelerated spatial run written to a
+  // cpgt file must read back with the unpaced run's cells.
+  const spatial::SpatialConfig cfg = spatial::load_spatial("grid:12x12x300");
+  StreamOptions opts;
+  opts.num_shards = 3;
+  opts.num_threads = 2;
+  opts.spatial = &cfg;
+  CellRowSink unpaced;
+  stream_generate(ours_model(), small_request(), opts, unpaced);
+  ASSERT_GT(unpaced.rows.size(), 100u);
+
+  const std::string prefix =
+      ::testing::TempDir() + "/cpg_stream_paced_cells_" +
+      std::to_string(::getpid());
+  opts.clock = ClockMode::accelerated;
+  opts.accel_factor = 1e9;
+  {
+    BinarySink file(prefix);
+    stream_generate(ours_model(), small_request(), opts, file);
+  }
+  trace_fmt::TraceReader reader(BinarySink::path_for(prefix));
+  std::vector<CellRow> rows;
+  std::vector<ControlEvent> block;
+  while (reader.next_events(block)) {
+    ASSERT_EQ(reader.cells().size(), block.size());
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      rows.push_back({block[i].t_ms, block[i].ue_id, block[i].type,
+                      reader.cells()[i]});
+    }
+  }
+  std::filesystem::remove(BinarySink::path_for(prefix));
+  EXPECT_EQ(rows, unpaced.rows);
 }
 
 TEST(Spatial, RunWithoutSpatialCarriesNoCellColumn) {

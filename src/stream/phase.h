@@ -42,9 +42,9 @@ class PhaseListener {
 
 // A phase timeline flattened to its change points and a cursor over them:
 // at each point's time, phase `phase` begins (-1 = a gap between declared
-// phases; defaults apply). Both the in-process consumer and the distributed
-// coordinator drive delivery through this cursor, so phase effects land at
-// identical stream positions in either runtime.
+// phases; defaults apply). The consumer loop both runtimes share
+// (stream/consumer.h) drives delivery through this cursor, so phase effects
+// land at identical stream positions in either runtime.
 class PhaseSchedule {
  public:
   PhaseSchedule() = default;

@@ -115,7 +115,18 @@ Registry::Series* Registry::find_series(Family& fam, const Labels& labels) {
 }
 
 Labels Registry::guard_labels(Family& fam, Labels labels) {
-  if (labels.empty() || fam.series.size() < series_limit_) return labels;
+  if (labels.empty()) return labels;
+  // Each label-key set is capped on its own, so a coordinator's per-cell
+  // series and its ranks' rank-labeled copies never crowd each other out.
+  const auto same_keys = [&](const Series& s) {
+    return std::equal(
+        s.labels.begin(), s.labels.end(), labels.begin(), labels.end(),
+        [](const auto& a, const auto& b) { return a.first == b.first; });
+  };
+  if (static_cast<std::size_t>(std::count_if(
+          fam.series.begin(), fam.series.end(), same_keys)) < series_limit_) {
+    return labels;
+  }
   if (!fam.overflow_warned) {
     fam.overflow_warned = true;
     std::fprintf(stderr,

@@ -149,13 +149,16 @@ struct FamilySnapshot {
 // mutex, updates through returned instrument pointers are lock-free.
 // Returned references stay valid for the registry's lifetime.
 //
-// Label cardinality is capped per family (set_series_limit, default 1024):
-// once a family holds that many series, a registration with a *new* label
-// set folds every label value to "other" and returns that shared overflow
+// Label cardinality is capped per family and label-key set
+// (set_series_limit, default 1024): once a family holds that many series
+// with the same label keys, a registration with a *new* label set of those
+// keys folds every label value to "other" and returns that shared overflow
 // series, warning once per family on stderr. High-cardinality sources (the
 // spatial layer's per-cell counters over an operator-sized grid) thus
 // degrade to a bounded export instead of unbounded memory; existing series
-// keep resolving exactly.
+// keep resolving exactly. Series with other label keys in the same family
+// (a coordinator's own {cell} series beside its ranks' merged {cell, rank}
+// ones) have a budget of their own.
 class Registry {
  public:
   static constexpr std::size_t k_default_series_limit = 1024;
@@ -175,8 +178,9 @@ class Registry {
   Histogram& histogram(std::string_view name, std::string_view help,
                        std::vector<double> bounds, Labels labels = {});
 
-  // Per-family series cap for the cardinality guard. Must be >= 1; applies
-  // to registrations after the call (existing series are never evicted).
+  // Per-family, per-label-key-set series cap for the cardinality guard.
+  // Must be >= 1; applies to registrations after the call (existing series
+  // are never evicted).
   void set_series_limit(std::size_t limit);
 
   // Families in registration order, series in registration order within a

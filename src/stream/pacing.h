@@ -85,7 +85,7 @@ class Pacer {
   double factor() const noexcept { return factor_; }
 
   // True when the pacer never blocks (as_fast_as_possible): deliveries can
-  // skip the per-event pace call entirely.
+  // skip pace() calls entirely.
   bool passthrough() const noexcept {
     return mode_ == ClockMode::as_fast_as_possible;
   }

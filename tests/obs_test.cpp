@@ -550,6 +550,31 @@ TEST(Registry, SeriesLimitAppliesPerFamilyAndSparesUnlabeled) {
   EXPECT_EQ(b, 1u);
 }
 
+TEST(Registry, SeriesLimitBudgetsEachLabelKeySetApart) {
+  Registry reg;
+  reg.set_series_limit(2);
+  // A coordinator's own per-cell series, then its ranks' merged copies: the
+  // rank-labeled set gets its own two slots instead of folding at once.
+  reg.counter("cells", "c", {{"cell", "0"}}).inc();
+  reg.counter("cells", "c", {{"cell", "1"}}).inc();
+  reg.counter("cells", "c", {{"cell", "0"}, {"rank", "0"}}).inc();
+  reg.counter("cells", "c", {{"cell", "1"}, {"rank", "0"}}).inc();
+  // Each set still folds past its own cap.
+  reg.counter("cells", "c", {{"cell", "2"}}).inc();
+  reg.counter("cells", "c", {{"cell", "2"}, {"rank", "0"}}).inc();
+  std::vector<Labels> got;
+  for (const FamilySnapshot& fam : reg.snapshot()) {
+    for (const SeriesSnapshot& s : fam.series) got.push_back(s.labels);
+  }
+  const std::vector<Labels> want{{{"cell", "0"}},
+                                 {{"cell", "1"}},
+                                 {{"cell", "0"}, {"rank", "0"}},
+                                 {{"cell", "1"}, {"rank", "0"}},
+                                 {{"cell", "other"}},
+                                 {{"cell", "other"}, {"rank", "other"}}};
+  EXPECT_EQ(got, want);
+}
+
 TEST(Registry, SeriesLimitRejectsZero) {
   Registry reg;
   EXPECT_THROW(reg.set_series_limit(0), std::invalid_argument);

@@ -9,6 +9,9 @@
 #   3. determinism: the same run under a different shard/thread/slice
 #                   configuration, and split across 4 worker ranks, must
 #                   produce byte-identical cpgt files (cells included)
+#   4. supervision: the storm run through a supervised sink
+#                   (--sink-policy fail) must write the same file, and
+#                   trace_cat to-csv must convert it
 #
 # Usage: scripts/spatial_smoke.sh [build-dir]   (default: ./build)
 set -euo pipefail
@@ -70,5 +73,12 @@ echo "== determinism across 4 worker ranks"
   --out "$WORK/ranks"
 cmp "$WORK/ref.cpgt" "$WORK/ranks.cpgt"
 echo "   4-rank run byte-identical"
+
+echo "== supervised sink (--sink-policy fail)"
+"$GEN" "${ARGS[@]}" --shards 4 --threads 2 --slice-min 5 --sink-policy fail \
+  --out "$WORK/supervised"
+cmp "$WORK/ref.cpgt" "$WORK/supervised.cpgt"
+"$CAT" to-csv "$WORK/supervised.cpgt" "$WORK/supervised"
+echo "   supervised run byte-identical, cells convert to CSV"
 
 echo "spatial_smoke: OK"

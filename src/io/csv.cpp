@@ -10,14 +10,26 @@ namespace cpg::io {
 
 void write_events_csv_header(std::ostream& os) { os << "t_ms,ue_id,event\n"; }
 
-void append_event_csv(std::ostream& os, const ControlEvent& e) {
-  os << e.t_ms << ',' << e.ue_id << ',' << to_string(e.type) << '\n';
+void append_event_csv(std::ostream& os, const ControlEvent& e,
+                      std::optional<std::uint32_t> cell) {
+  char row[k_max_event_row];
+  const char* end = format_event_row(row, e.t_ms, e.ue_id, e.type, cell);
+  os.write(row, end - row);
 }
 
 void write_ues_csv_header(std::ostream& os) { os << "ue_id,device\n"; }
 
 void append_ue_csv(std::ostream& os, UeId ue, DeviceType device) {
-  os << ue << ',' << to_string(device) << '\n';
+  // A 10-digit UE id, a comma, the longest device name (connected_car, 13)
+  // and the newline.
+  char row[10 + 1 + 13 + 1];
+  char* p = std::to_chars(row, row + 10, ue).ptr;
+  *p++ = ',';
+  const std::string_view name = to_string(device);
+  std::memcpy(p, name.data(), name.size());
+  p += name.size();
+  *p++ = '\n';
+  os.write(row, p - row);
 }
 
 void write_events_csv(const Trace& trace, std::ostream& os) {

@@ -78,9 +78,8 @@ struct EngineInstruments {
         obs::exponential_buckets(50.0, 2.0, 16));
     station.resize(cfg.num_stations);
     for (std::size_t n = 0; n < cfg.num_stations; ++n) {
-      const std::string name =
-          cfg.station_names[n].empty() ? "s" + std::to_string(n)
-                                       : std::string(cfg.station_names[n]);
+      std::string name(cfg.station_names[n]);
+      if (name.empty()) name.append("s").append(std::to_string(n));
       const obs::Labels labels{{"station", name}};
       station[n].queue_depth =
           &reg.gauge("cpg_mcn_station_queue_depth",

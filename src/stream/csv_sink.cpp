@@ -105,8 +105,9 @@ void CsvSink::commit_batch(std::uint64_t n) {
 
 void CsvSink::handle_write_failure(std::uint64_t n) {
   // Rewind to the last committed batch boundary so a retry re-delivers the
-  // identical span onto clean ground. The stream's failbit is what brought
-  // us here; clear it or seekp is a no-op.
+  // identical span onto clean ground, overwriting whatever part of the
+  // failed delivery reached the stream. The stream's failbit is what
+  // brought us here; clear it or seekp is a no-op.
   events_os_->clear();
   if (rewind_ok_) {
     events_os_->seekp(committed_, std::ios::beg);
@@ -139,6 +140,28 @@ void CsvSink::on_events(std::span<const ControlEvent> events) {
   for (const ControlEvent& e : events) io::append_event_csv(*events_os_, e);
   if (!*events_os_) handle_write_failure(events.size());
   commit_batch(events.size());
+}
+
+void CsvSink::on_event_columns(const EventColumnsView& cols) {
+  if (cols.empty()) return;
+  CPG_FAILPOINT("csv_sink.write");
+  if (chunk_ == nullptr) {
+    chunk_ = std::make_unique_for_overwrite<char[]>(k_chunk_bytes);
+  }
+  char* const begin = chunk_.get();
+  // Past this point a longest row might not fit: write the chunk out first.
+  char* const full = begin + k_chunk_bytes - io::k_max_event_row;
+  char* p = begin;
+  for (std::size_t i = 0; i < cols.n; ++i) {
+    if (p > full) {
+      events_os_->write(begin, p - begin);
+      p = begin;
+    }
+    p = io::format_event_row(p, cols.ts[i], cols.ue[i], cols.type[i]);
+  }
+  events_os_->write(begin, p - begin);
+  if (!*events_os_) handle_write_failure(cols.n);
+  commit_batch(cols.n);
 }
 
 void CsvSink::on_finish() {

@@ -3,6 +3,7 @@
 // the captured trace — without ever materializing it.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -24,16 +25,27 @@ namespace cpg::stream {
 // constructor cannot truncate and does not participate (empty token;
 // a resumed stream gets a plain on_start).
 //
-// Write failures (a full disk, a yanked mount) are detected at every batch
-// boundary — ofstream alone would swallow them until someone happened to
-// check failbit. On failure the sink rewinds the stream to the last
-// committed batch boundary and throws a *retryable* SinkError, so a
-// supervising ResilientSink can re-deliver the identical span without
-// duplicating or losing rows; if rewinding is impossible (non-seekable
-// stream) the error is fatal instead, because a blind retry would duplicate
-// whatever prefix reached the device.
+// The runtime's column deliveries take the fast path (on_event_columns):
+// rows go through io::format_event_row into a fixed k_chunk_bytes buffer
+// that is written each time it fills, so a delivery reaches the stream as
+// a few large writes and never as ControlEvents. The CSV dialect has no
+// cell column; a spatial stream's cells are not written. The AoS on_event /
+// on_events, which only direct callers reach, write one row at a time.
+//
+// Write failures (a full disk, a yanked mount) are detected once per
+// delivery, after its last write — ofstream alone would swallow them until
+// someone happened to check failbit. On failure the sink rewinds the stream
+// to the end of the last committed delivery, which also cuts every chunk of
+// the failed delivery that already reached it, and throws a *retryable*
+// SinkError, so a supervising ResilientSink can re-deliver the identical
+// span without duplicating or losing rows; if rewinding is impossible
+// (non-seekable stream) the error is fatal instead, because a blind retry
+// would duplicate whatever prefix reached the device.
 class CsvSink final : public EventSink, public CheckpointParticipant {
  public:
+  // Size of the buffer a column delivery is formatted into.
+  static constexpr std::size_t k_chunk_bytes = 64 * 1024;
+
   // Writes events to `events_os`; when `ues_os` is non-null, the UE registry
   // is written there on stream start. Streams must outlive the sink's use.
   explicit CsvSink(std::ostream& events_os, std::ostream* ues_os = nullptr);
@@ -49,6 +61,7 @@ class CsvSink final : public EventSink, public CheckpointParticipant {
   void on_start(const StreamHeader& header) override;
   void on_event(const ControlEvent& e) override;
   void on_events(std::span<const ControlEvent> events) override;
+  void on_event_columns(const EventColumnsView& cols) override;
   void on_finish() override;
 
   std::string checkpoint_save() override;
@@ -68,6 +81,7 @@ class CsvSink final : public EventSink, public CheckpointParticipant {
   std::unique_ptr<std::ostream> owned_ues_;
   std::ostream* events_os_ = nullptr;
   std::ostream* ues_os_ = nullptr;
+  std::unique_ptr<char[]> chunk_;  // k_chunk_bytes, allocated on first use
   std::uint64_t events_ = 0;
   // Offset of the last successful batch boundary (rewind target), and
   // whether the stream supports seeking back to it.

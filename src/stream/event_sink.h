@@ -54,7 +54,8 @@ class EventSink {
   // Columnar delivery, the runtime's only delivery call: the same events in
   // the same canonical order as the equivalent on_events span, but as SoA
   // column views straight out of the merge buffers. Sinks that consume
-  // columns (the cpgt binary sink, counting) override this and skip the AoS
+  // columns (the cpgt binary and CSV sinks, counting, and the supervising
+  // ResilientSink, which forwards the view) override this and skip the AoS
   // round-trip; everything else falls back through this materializing shim,
   // which gathers into a reused scratch vector and forwards to on_events —
   // so a sink written before columns existed behaves exactly as it always

@@ -17,6 +17,9 @@ namespace {
 
 constexpr std::string_view k_spill_magic = "cpg-spill 1";
 
+// What lifecycle calls deliver.
+constexpr std::span<const ControlEvent> k_no_rows;
+
 class SystemRetryClock final : public RetryClock {
  public:
   std::chrono::steady_clock::time_point now() override {
@@ -102,9 +105,8 @@ ResilientSink::ResilientSink(EventSink& inner, ResilientSinkOptions options,
 
 ResilientSink::~ResilientSink() = default;
 
-template <typename Attempt>
-void ResilientSink::deliver(std::size_t num_events,
-                            const ControlEvent* spillable, Attempt&& attempt) {
+template <typename Rows, typename Attempt>
+void ResilientSink::deliver(const Rows& rows, Attempt&& attempt) {
   const RetryPolicy& rp = options_.retry;
   const auto start = clock_->now();
   std::exception_ptr last_error;
@@ -112,7 +114,7 @@ void ResilientSink::deliver(std::size_t num_events,
     try {
       CPG_FAILPOINT("sink.deliver");
       attempt();
-      stats_.delivered_events += num_events;
+      stats_.delivered_events += rows.size();
       return;
     } catch (const std::exception& e) {
       if (classify_failure(e) == FailureClass::fatal) {
@@ -143,31 +145,31 @@ void ResilientSink::deliver(std::size_t num_events,
       ins_.backoff_ms->inc(static_cast<std::uint64_t>(delay.count()));
     }
   }
-  degrade(num_events, spillable, std::move(last_error));
+  degrade(rows, std::move(last_error));
 }
 
-void ResilientSink::degrade(std::size_t num_events,
-                            const ControlEvent* spillable,
-                            std::exception_ptr last_error) {
+template <typename Rows>
+void ResilientSink::degrade(const Rows& rows, std::exception_ptr last_error) {
   ++stats_.exhausted_deliveries;
   if (ins_.exhausted != nullptr) ins_.exhausted->inc();
   // Only event deliveries can degrade; lifecycle calls (on_start, on_finish,
   // checkpoint operations) have nothing to drop or spill, so exhausting
-  // their retries always fails the run.
-  if (options_.policy == SinkPolicy::fail || spillable == nullptr) {
+  // their retries always fails the run. Event deliveries are never empty.
+  if (options_.policy == SinkPolicy::fail || rows.empty()) {
     std::rethrow_exception(std::move(last_error));
   }
   if (options_.policy == SinkPolicy::drop) {
-    stats_.dropped_events += num_events;
-    if (ins_.dropped != nullptr) ins_.dropped->inc(num_events);
+    stats_.dropped_events += rows.size();
+    if (ins_.dropped != nullptr) ins_.dropped->inc(rows.size());
     return;
   }
-  spill(spillable, num_events);
-  stats_.spilled_events += num_events;
-  if (ins_.spilled != nullptr) ins_.spilled->inc(num_events);
+  spill(rows);
+  stats_.spilled_events += rows.size();
+  if (ins_.spilled != nullptr) ins_.spilled->inc(rows.size());
 }
 
-void ResilientSink::spill(const ControlEvent* events, std::size_t n) {
+template <typename Rows>
+void ResilientSink::spill(const Rows& rows) {
   if (spill_os_ == nullptr) {
     spill_os_ = std::make_unique<std::ofstream>(options_.spill_path,
                                                 std::ios::app);
@@ -181,8 +183,8 @@ void ResilientSink::spill(const ControlEvent* events, std::size_t n) {
       *spill_os_ << k_spill_magic << '\n';
     }
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    io::append_event_csv(*spill_os_, events[i]);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    io::append_event_csv(*spill_os_, rows[i]);
   }
   spill_os_->flush();
   if (!*spill_os_) {
@@ -192,27 +194,32 @@ void ResilientSink::spill(const ControlEvent* events, std::size_t n) {
 }
 
 void ResilientSink::on_start(const StreamHeader& header) {
-  deliver(0, nullptr, [&] { inner_.on_start(header); });
+  deliver(k_no_rows, [&] { inner_.on_start(header); });
 }
 
 void ResilientSink::on_event(const ControlEvent& e) {
-  deliver(1, &e, [&] { inner_.on_event(e); });
+  deliver(std::span(&e, 1), [&] { inner_.on_event(e); });
 }
 
 void ResilientSink::on_events(std::span<const ControlEvent> events) {
   if (events.empty()) return;
-  deliver(events.size(), events.data(), [&] { inner_.on_events(events); });
+  deliver(events, [&] { inner_.on_events(events); });
+}
+
+void ResilientSink::on_event_columns(const EventColumnsView& cols) {
+  if (cols.empty()) return;
+  deliver(cols, [&] { inner_.on_event_columns(cols); });
 }
 
 void ResilientSink::on_finish() {
-  deliver(0, nullptr, [&] { inner_.on_finish(); });
+  deliver(k_no_rows, [&] { inner_.on_finish(); });
 }
 
 std::string ResilientSink::checkpoint_save() {
   auto* p = dynamic_cast<CheckpointParticipant*>(&inner_);
   if (p == nullptr) return {};
   std::string token;
-  deliver(0, nullptr, [&] { token = p->checkpoint_save(); });
+  deliver(k_no_rows, [&] { token = p->checkpoint_save(); });
   return token;
 }
 
@@ -220,10 +227,10 @@ void ResilientSink::checkpoint_resume(const std::string& token,
                                       const StreamHeader& header) {
   auto* p = dynamic_cast<CheckpointParticipant*>(&inner_);
   if (p == nullptr) {
-    deliver(0, nullptr, [&] { inner_.on_start(header); });
+    deliver(k_no_rows, [&] { inner_.on_start(header); });
     return;
   }
-  deliver(0, nullptr, [&] { p->checkpoint_resume(token, header); });
+  deliver(k_no_rows, [&] { p->checkpoint_resume(token, header); });
 }
 
 std::uint64_t recover_spill(const std::string& path, EventSink& sink) {

@@ -140,6 +140,9 @@ class ResilientSink final : public EventSink,
   void on_start(const StreamHeader& header) override;
   void on_event(const ControlEvent& e) override;
   void on_events(std::span<const ControlEvent> events) override;
+  // Columns stay columns: the view is valid for the whole call, so a retry
+  // re-delivers it as is (cells included), and a spill writes its rows.
+  void on_event_columns(const EventColumnsView& cols) override;
   void on_finish() override;
 
   std::string checkpoint_save() override;
@@ -156,12 +159,14 @@ class ResilientSink final : public EventSink,
   const ResilientSinkStats& stats() const noexcept { return stats_; }
 
  private:
-  template <typename Attempt>
-  void deliver(std::size_t num_events, const ControlEvent* spillable,
-               Attempt&& attempt);
-  void degrade(std::size_t num_events, const ControlEvent* spillable,
-               std::exception_ptr last_error);
-  void spill(const ControlEvent* events, std::size_t n);
+  // `rows` are the events `attempt` delivers — a span of ControlEvents or
+  // an EventColumnsView — and empty for lifecycle calls.
+  template <typename Rows, typename Attempt>
+  void deliver(const Rows& rows, Attempt&& attempt);
+  template <typename Rows>
+  void degrade(const Rows& rows, std::exception_ptr last_error);
+  template <typename Rows>
+  void spill(const Rows& rows);
 
   EventSink& inner_;
   ResilientSinkOptions options_;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <iomanip>
+#include <limits>
+#include <locale>
 #include <sstream>
 
 #include "io/csv.h"
@@ -80,6 +84,54 @@ TEST(Csv, WriteFormat) {
             "ue_id,device\n"
             "0,phone\n"
             "1,connected_car\n");
+}
+
+// Literal rows at the edges of every field, so a change in how rows are
+// formatted cannot pass by agreeing with itself.
+TEST(Csv, EventRowsAtTheEdges) {
+  constexpr TimeMs t_min = std::numeric_limits<TimeMs>::min();
+  constexpr TimeMs t_max = std::numeric_limits<TimeMs>::max();
+  constexpr UeId ue_max = std::numeric_limits<UeId>::max();
+  std::ostringstream os;
+  append_event_csv(os, {0, 0, EventType::atch});
+  append_event_csv(os, {t_min, ue_max, EventType::dtch});
+  append_event_csv(os, {t_max, 0, EventType::srv_req});
+  append_event_csv(os, {-1, 4294967294u, EventType::s1_conn_rel});
+  append_event_csv(os, {1, 1, EventType::ho});
+  append_event_csv(os, {86'400'000, 17, EventType::tau});
+  append_event_csv(os, {t_min, ue_max, EventType::s1_conn_rel}, 4294967295u);
+  append_event_csv(os, {250, 3, EventType::ho}, 0u);
+  EXPECT_EQ(os.str(),
+            "0,0,ATCH\n"
+            "-9223372036854775808,4294967295,DTCH\n"
+            "9223372036854775807,0,SRV_REQ\n"
+            "-1,4294967294,S1_CONN_REL\n"
+            "1,1,HO\n"
+            "86400000,17,TAU\n"
+            "-9223372036854775808,4294967295,S1_CONN_REL,4294967295\n"
+            "250,3,HO,0\n");
+  // The last-but-one row is the longest one the formatter can write.
+  char row[k_max_event_row];
+  EXPECT_EQ(format_event_row(row, t_min, ue_max, EventType::s1_conn_rel,
+                             4294967295u) -
+                row,
+            static_cast<std::ptrdiff_t>(k_max_event_row));
+}
+
+// Digit grouping and format flags on the stream must not reach the rows.
+TEST(Csv, RowsIgnoreStreamLocaleAndFlags) {
+  struct Grouped final : std::numpunct<char> {
+    char do_thousands_sep() const override { return '\''; }
+    std::string do_grouping() const override { return "\3"; }
+  };
+  std::ostringstream os;
+  os.imbue(std::locale(os.getloc(), new Grouped));
+  os << std::hex << std::showpos << std::setw(30) << std::setfill('*');
+  append_event_csv(os, {1'234'567, 4'000'000'000u, EventType::srv_req}, 65536u);
+  append_ue_csv(os, 1'000'000, DeviceType::connected_car);
+  EXPECT_EQ(os.str(),
+            "1234567,4000000000,SRV_REQ,65536\n"
+            "1000000,connected_car\n");
 }
 
 TEST(Csv, RoundTrip) {

@@ -526,7 +526,9 @@ TEST(Registry, SeriesLimitFoldsOverflowLabelsIntoOther) {
     if (fam.name != "cpg_spatial_cell_events_total") continue;
     for (const SeriesSnapshot& s : fam.series) {
       for (const auto& [k, v] : s.labels) {
-        if (k == "cell" && v == "2") EXPECT_EQ(s.counter, 10u);
+        if (k == "cell" && v == "2") {
+          EXPECT_EQ(s.counter, 10u);
+        }
       }
     }
   }

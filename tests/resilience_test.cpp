@@ -11,23 +11,28 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <streambuf>
 #include <string>
 #include <system_error>
 #include <vector>
 
+#include "core/event_columns.h"
 #include "core/time_utils.h"
 #include "fault/failpoint.h"
 #include "generator/traffic_generator.h"
 #include "model/fit.h"
 #include "spatial/config.h"
+#include "stream/binary_sink.h"
 #include "stream/checkpoint.h"
 #include "stream/csv_sink.h"
 #include "stream/event_sink.h"
 #include "stream/resilient_sink.h"
 #include "stream/stream_generator.h"
 #include "test_util.h"
+#include "trace_fmt/cpgt.h"
+#include "trace_fmt/reader.h"
 
 namespace cpg::stream {
 namespace {
@@ -266,6 +271,115 @@ TEST(ResilientSink, SpillPolicyRequiresPath) {
   EXPECT_THROW(ResilientSink(inner, opts), std::invalid_argument);
 }
 
+// Spatial test columns: `n` time-ordered events over `num_ues` UEs, every
+// event type, cells spread over a 64-cell grid.
+EventColumns spatial_columns(std::size_t n, UeId num_ues) {
+  EventColumns cols;
+  for (std::size_t i = 0; i < n; ++i) {
+    cols.push_back(static_cast<TimeMs>(1'000 + 3 * i),
+                   static_cast<UeId>((i * 7) % num_ues),
+                   k_all_event_types[i % k_num_event_types]);
+    cols.cell.push_back(static_cast<std::uint32_t>((i * 13) % 64));
+  }
+  return cols;
+}
+
+TEST(ResilientSink, ColumnRetryKeepsCellsInTheCpgtFile) {
+  const std::vector<DeviceType> devices(40, DeviceType::phone);
+  const EventColumns cols = spatial_columns(3000, 40);
+  trace_fmt::SpatialInfo sp;
+  sp.cols = 8;
+  sp.rows = 8;
+  sp.cell_m = 500.0;
+  sp.ta_block = 4;
+  sp.fingerprint = 0x5eed;
+  StreamHeader header;
+  header.ue_devices = devices;
+  header.t_end = 100'000;
+  header.spatial = &sp;
+
+  const std::string prefix = ::testing::TempDir() + "/cpg_resilient_cells";
+  {
+    BinarySink file(prefix, /*block_events=*/256);
+    FakeRetryClock clock;
+    ResilientSinkOptions opts;
+    opts.retry = no_jitter_policy();
+    ResilientSink sink(file, opts, &clock);
+    sink.on_start(header);
+    // One retryable block-write failure inside the first delivery.
+    fault::FailpointSpec spec;
+    spec.action = fault::Action::error;
+    spec.skip = 2;
+    spec.max_fires = 1;
+    fault::arm("cpgt.write_block", spec);
+    const EventColumnsView view = cols.view();
+    for (std::size_t i = 0; i < view.n; i += 1000) {
+      const std::size_t n = std::min<std::size_t>(1000, view.n - i);
+      sink.on_event_columns(view.subview(i, n));
+    }
+    fault::disarm_all();
+    sink.on_finish();
+    EXPECT_EQ(sink.stats().retries, 1u);
+    EXPECT_EQ(sink.stats().delivered_events, cols.size());
+  }
+
+  trace_fmt::TraceReader reader(BinarySink::path_for(prefix));
+  ASSERT_TRUE(reader.has_spatial());
+  EventColumns got;
+  std::vector<ControlEvent> block;
+  while (reader.next_events(block)) {
+    ASSERT_EQ(reader.cells().size(), block.size());
+    got.append(std::span<const ControlEvent>(block));
+    got.cell.insert(got.cell.end(), reader.cells().begin(),
+                    reader.cells().end());
+  }
+  std::filesystem::remove(BinarySink::path_for(prefix));
+  EXPECT_EQ(got.ts, cols.ts);
+  EXPECT_EQ(got.ue, cols.ue);
+  EXPECT_EQ(got.type, cols.type);
+  EXPECT_EQ(got.cell, cols.cell);
+}
+
+TEST(ResilientSink, ColumnSpillWritesTheAosSpillRows) {
+  const EventColumns cols = spatial_columns(500, 9);
+  std::vector<ControlEvent> events;
+  cols.view().materialize(events);
+
+  // Every delivery exhausts its retries; the columnar and the AoS path must
+  // leave the same dead-letter file (no cell column in either).
+  const auto spill_through = [&](const std::string& path, bool columnar) {
+    std::remove(path.c_str());
+    FlakySink inner(/*fail_first=*/1000, /*retryable=*/true);
+    FakeRetryClock clock;
+    ResilientSinkOptions opts;
+    opts.policy = SinkPolicy::spill;
+    opts.spill_path = path;
+    opts.retry = no_jitter_policy();
+    opts.retry.max_attempts = 2;
+    ResilientSink sink(inner, opts, &clock);
+    if (columnar) {
+      sink.on_event_columns(cols.view());
+    } else {
+      sink.on_events(events);
+    }
+    EXPECT_EQ(sink.stats().spilled_events, events.size());
+    std::ifstream is(path);
+    return std::string(std::istreambuf_iterator<char>(is), {});
+  };
+  const std::string cols_path = ::testing::TempDir() + "/cpg_spill_cols.csv";
+  const std::string aos_path = ::testing::TempDir() + "/cpg_spill_aos.csv";
+  const std::string from_columns = spill_through(cols_path, true);
+  EXPECT_EQ(from_columns, spill_through(aos_path, false));
+  EXPECT_EQ(from_columns.substr(0, 19), "cpg-spill 1\n1000,0,");
+
+  std::vector<ControlEvent> recovered;
+  CallbackSink collect([&](const ControlEvent& e) { recovered.push_back(e); });
+  EXPECT_EQ(recover_spill(cols_path, collect), events.size());
+  EXPECT_EQ(recovered, events);
+  std::remove(cols_path.c_str());
+  std::remove(aos_path.c_str());
+}
+
 TEST(Classify, MapsExceptionTypesToFailureClasses) {
   EXPECT_EQ(classify_failure(fault::InjectedFault("x", true)),
             FailureClass::retryable);
@@ -461,6 +575,129 @@ TEST(CsvSinkFailure, WriteFailpointEngagesResilientSink) {
   fault::disarm_all();
 
   EXPECT_EQ(got.str(), ref.str());
+}
+
+// ---------------------------------------------------------------------------
+// CsvSink column deliveries: rows are formatted into k_chunk_bytes chunks,
+// and a failure in any chunk rewinds the whole delivery.
+// ---------------------------------------------------------------------------
+
+// String buffer that records where each write landed and how long it was.
+class WriteLogBuf final : public std::stringbuf {
+ public:
+  WriteLogBuf() : std::stringbuf(std::ios::out) {}
+
+  struct Write {
+    std::streamoff at;
+    std::streamsize n;
+  };
+  std::vector<Write> writes;
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    writes.push_back(
+        {static_cast<std::streamoff>(seekoff(0, std::ios::cur, std::ios::out)),
+         n});
+    return std::stringbuf::xsputn(s, n);
+  }
+};
+
+// Enough wide rows for one delivery to fill several chunks.
+EventColumns multi_chunk_columns() {
+  EventColumns cols;
+  for (std::size_t i = 0; i < 12'000; ++i) {
+    cols.push_back(static_cast<TimeMs>(1'700'000'000'000 + 7 * i),
+                   static_cast<UeId>(4'000'000'000u - 977 * i),
+                   k_all_event_types[i % k_num_event_types]);
+  }
+  return cols;
+}
+
+struct ColumnDeliveryRef {
+  std::string bytes;             // the rows written one by one (AoS path)
+  std::streamoff second_write;   // where the delivery's second chunk starts
+  std::size_t chunks;            // writes the column delivery made
+};
+
+ColumnDeliveryRef column_delivery_reference(const EventColumns& cols,
+                                            const StreamHeader& header) {
+  std::vector<ControlEvent> events;
+  cols.view().materialize(events);
+  std::ostringstream aos;
+  {
+    CsvSink sink(aos);
+    sink.on_start(header);
+    sink.on_events(events);
+    sink.on_finish();
+  }
+
+  WriteLogBuf buf;
+  std::ostream out(&buf);
+  CsvSink sink(out);
+  sink.on_start(header);
+  const std::size_t first = buf.writes.size();
+  sink.on_event_columns(cols.view());
+  sink.on_finish();
+  EXPECT_EQ(buf.str(), aos.str());
+  const std::size_t chunks = buf.writes.size() - first;
+  for (std::size_t w = first; w < buf.writes.size(); ++w) {
+    EXPECT_LE(buf.writes[w].n,
+              static_cast<std::streamsize>(CsvSink::k_chunk_bytes));
+  }
+  return {aos.str(), chunks >= 2 ? buf.writes[first + 1].at : -1, chunks};
+}
+
+TEST(CsvSinkColumns, ChunkedDeliveryMatchesRowByRowBytes) {
+  const std::vector<DeviceType> devices{DeviceType::phone,
+                                        DeviceType::tablet};
+  const StreamHeader header = csv_failure_header(devices);
+  const EventColumns cols = multi_chunk_columns();
+  const ColumnDeliveryRef ref = column_delivery_reference(cols, header);
+  EXPECT_GE(ref.chunks, 3u);
+  EXPECT_GT(ref.bytes.size(), 3 * CsvSink::k_chunk_bytes);
+}
+
+TEST(CsvSinkColumns, FailureInSecondChunkRewindsTheWholeDelivery) {
+  const std::vector<DeviceType> devices{DeviceType::phone};
+  const StreamHeader header = csv_failure_header(devices);
+  const EventColumns cols = multi_chunk_columns();
+  const ColumnDeliveryRef ref = column_delivery_reference(cols, header);
+  ASSERT_GE(ref.chunks, 3u);
+
+  // The first chunk reaches the stream, the second write fails: the sink
+  // must cut back to where the delivery started.
+  {
+    FlakyOnceBuf buf(ref.second_write);
+    std::ostream out(&buf);
+    CsvSink sink(out);
+    sink.on_start(header);
+    const std::streamoff start = out.tellp();
+    try {
+      sink.on_event_columns(cols.view());
+      FAIL() << "write failure was swallowed";
+    } catch (const SinkError& e) {
+      EXPECT_EQ(e.failure_class(), FailureClass::retryable);
+    }
+    EXPECT_TRUE(buf.fired);
+    EXPECT_EQ(static_cast<std::streamoff>(out.tellp()), start);
+    EXPECT_EQ(sink.events_written(), 0u);
+  }
+
+  // Supervised, the retry re-delivers the same view onto clean ground.
+  FlakyOnceBuf buf(ref.second_write);
+  std::ostream out(&buf);
+  CsvSink inner(out);
+  FakeRetryClock clock;
+  ResilientSinkOptions opts;
+  opts.retry = no_jitter_policy();
+  ResilientSink sink(inner, opts, &clock);
+  sink.on_start(header);
+  sink.on_event_columns(cols.view());
+  sink.on_finish();
+  EXPECT_TRUE(buf.fired);
+  EXPECT_EQ(sink.stats().retries, 1u);
+  EXPECT_EQ(inner.events_written(), cols.size());
+  EXPECT_EQ(buf.str(), ref.bytes);
 }
 
 // ---------------------------------------------------------------------------

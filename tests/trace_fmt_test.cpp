@@ -130,7 +130,8 @@ TEST_F(CpgtFile, WriterReaderRoundTripManyBlocks) {
   writer.begin(devices, 0, 3'600'000);
   // Append in uneven chunks to exercise block cutting across appends.
   std::size_t i = 0;
-  for (const std::size_t chunk : {1uz, 100uz, 999uz, 3000uz}) {
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{100},
+                                  std::size_t{999}, std::size_t{3000}}) {
     writer.append({evs.data() + i, chunk});
     i += chunk;
   }
@@ -232,7 +233,8 @@ TEST_F(CpgtFile, SpatialRoundTripCarriesCellsPerBlock) {
   writer.begin(devices, 0, 3'600'000, &sp);
   // Uneven chunks to exercise cell buffering across block cuts.
   std::size_t i = 0;
-  for (const std::size_t chunk : {1uz, 700uz, 2999uz}) {
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{700}, std::size_t{2999}}) {
     writer.append(EventColumnsView{ts.data() + i, ue.data() + i,
                                    type.data() + i, chunk, cell.data() + i});
     i += chunk;

@@ -113,7 +113,7 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv) {
       if (has_value) {
         throw UsageError("--" + name + " does not take a value");
       }
-      flags[name] = "1";
+      flags.insert_or_assign(name, std::string("1"));
       continue;
     }
     if (value_flags().count(name) == 0) {

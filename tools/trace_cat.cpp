@@ -16,6 +16,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,20 +83,15 @@ int to_csv(const std::string& in, const std::string& out_prefix) {
   std::vector<ControlEvent> block;
   std::uint64_t n = 0;
   while (reader.next_events(block)) {
-    if (cells) {
-      const std::vector<std::uint32_t>& cell = reader.cells();
-      if (cell.size() != block.size()) {
-        throw std::runtime_error(in +
-                                 ": spatial trace has an events block "
-                                 "without its cell column");
-      }
-      for (std::size_t i = 0; i < block.size(); ++i) {
-        const ControlEvent& e = block[i];
-        events << e.t_ms << ',' << e.ue_id << ',' << to_string(e.type) << ','
-               << cell[i] << '\n';
-      }
-    } else {
-      for (const ControlEvent& e : block) io::append_event_csv(events, e);
+    const std::vector<std::uint32_t>& cell = reader.cells();
+    if (cells && cell.size() != block.size()) {
+      throw std::runtime_error(in +
+                               ": spatial trace has an events block "
+                               "without its cell column");
+    }
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      io::append_event_csv(events, block[i],
+                           cells ? std::optional(cell[i]) : std::nullopt);
     }
     checked(events, events_path);
     n += block.size();

@@ -172,9 +172,10 @@ void run_macro_comparison(const BenchConfig& config, std::size_t total_ues,
     table.print(os);
     os << "\n";
   }
-  os << "Expected shape: Base/B1 under-produce SRV_REQ/S1_CONN_REL and "
-        "leak HO into IDLE; B2 and Ours stay within a few points on every "
-        "row, with Ours tightest.\n";
+  os << "Expected shape: Base/B1 leak HO into IDLE; B2 and Ours emit none "
+        "(HO (IDLE) = 0 on every device). Ours is not the tightest: summed "
+        "over the rows, B2's |delta| is smaller for phones and cars "
+        "(EXPERIMENTS.md, Tables 4 & 11).\n";
 }
 
 std::string_view device_short_name(DeviceType d) {

@@ -89,8 +89,10 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  std::cout << "Expected shape: Ours < B2 on every row; the gap is largest "
-               "for phones (paper: 7.7x on SRV_REQ) and smallest for "
-               "connected cars.\n";
+  std::cout << "Expected shape: Ours < B2 on every sojourn row (CONNECTED, "
+               "IDLE). On the per-UE count rows (SRV_REQ, S1_CONN_REL) the "
+               "two are close and B2 wins some (EXPERIMENTS.md, Table 5), "
+               "where the paper's B2 loses by up to 7.7x (phones' "
+               "SRV_REQ).\n";
   return 0;
 }

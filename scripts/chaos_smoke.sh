@@ -23,6 +23,9 @@
 #                    exact reference output (single-process + distributed)
 #   8. salvage      : a cpgt file torn mid-block recovers its valid prefix
 #                    with trace_cat salvage
+#   9. piped model  : the model arrives through a pipe (--model /dev/stdin),
+#                    which drives the loader's read fallback; every other
+#                    run maps the model file
 #
 # A heal without checkpoints (replay-from-scratch) is covered in-process by
 # Supervision.HealWithoutCheckpointDirReplaysFromScratch: an env-armed kill
@@ -231,5 +234,13 @@ $RUN "$CAT" to-csv "$WORK/rescued.cpgt" "$WORK/rescued"
 LINES=$(wc -l < "$WORK/rescued_events.csv")
 head -n "$LINES" "$WORK/ref_events.csv" | cmp - "$WORK/rescued_events.csv"
 echo "   salvaged prefix is an exact prefix of the reference CSV"
+
+echo "== piped model: a model read from a pipe reproduces the reference"
+# ARGS minus its leading --model pair.
+cat "$WORK/m.cpgm" | $RUN "$GEN" --model /dev/stdin "${ARGS[@]:2}" \
+  --out "$WORK/piped"
+cmp "$WORK/ref_events.csv" "$WORK/piped_events.csv"
+cmp "$WORK/ref_ues.csv" "$WORK/piped_ues.csv"
+echo "   piped model byte-identical"
 
 echo "chaos_smoke: OK"

@@ -1,6 +1,8 @@
 #include "io/file_util.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -15,6 +17,33 @@ namespace {
 
 [[noreturn]] void sys_fail(const std::string& what) {
   throw std::system_error(errno, std::generic_category(), what);
+}
+
+// Reads fd until EOF, resuming across EINTR; closes fd either way.
+std::string read_fd(int fd, const std::string& path) {
+  std::string out;
+  char buf[1 << 16];
+  while (true) {
+    const ssize_t r = ::read(fd, buf, sizeof buf);
+    if (r > 0) {
+      out.append(buf, static_cast<std::size_t>(r));
+      continue;
+    }
+    if (r == 0) break;
+    if (errno == EINTR) continue;
+    const int saved = errno;
+    ::close(fd);
+    errno = saved;
+    sys_fail("read failed for " + path);
+  }
+  ::close(fd);
+  return out;
+}
+
+int open_read(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) sys_fail("cannot open " + path);
+  return fd;
 }
 
 }  // namespace
@@ -34,25 +63,31 @@ void write_all_fd(int fd, const char* data, std::size_t n,
 }
 
 std::string read_file(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) sys_fail("cannot open " + path);
-  std::string out;
-  char buf[1 << 16];
-  while (true) {
-    const ssize_t r = ::read(fd, buf, sizeof buf);
-    if (r > 0) {
-      out.append(buf, static_cast<std::size_t>(r));
-      continue;
+  return read_fd(open_read(path), path);
+}
+
+FileBytes::FileBytes(const std::string& path) {
+  const int fd = open_read(path);
+  struct stat st{};
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+    const auto len = static_cast<std::size_t>(st.st_size);
+    void* m = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (m != MAP_FAILED) {
+      ::close(fd);
+      map_ = m;
+      map_len_ = len;
+      // Every reader walks front to back; let readahead run ahead of it.
+      ::madvise(map_, map_len_, MADV_SEQUENTIAL);
+      data_ = std::string_view(static_cast<const char*>(map_), map_len_);
+      return;
     }
-    if (r == 0) break;
-    if (errno == EINTR) continue;
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    sys_fail("read failed for " + path);
   }
-  ::close(fd);
-  return out;
+  buf_ = read_fd(fd, path);
+  data_ = buf_;
+}
+
+FileBytes::~FileBytes() {
+  if (map_ != nullptr) ::munmap(map_, map_len_);
 }
 
 void write_file_atomic(const std::string& path, std::string_view data) {

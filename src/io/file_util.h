@@ -1,4 +1,5 @@
-// Short-write- and EINTR-safe POSIX file helpers.
+// Short-write- and EINTR-safe POSIX file helpers, and the one read-only
+// file view (FileBytes) that the cpgt reader and the model loader share.
 //
 // std::ofstream swallows partial-write detail: a full disk mid-write leaves
 // failbit set (when anyone checks) but gives the caller no way to know what
@@ -26,6 +27,32 @@ void write_all_fd(int fd, const char* data, std::size_t n,
 // Reads until EOF, resuming across EINTR. Throws std::system_error on
 // failure.
 std::string read_file(const std::string& path);
+
+// A whole file's bytes, read-only. A regular non-empty file is mmapped
+// (PROT_READ, MAP_PRIVATE, MADV_SEQUENTIAL), so parsing runs straight over
+// the page cache with no up-front copy. Whatever mmap cannot take (empty
+// files, pipes, character devices, filesystems without mmap) is read into
+// a buffer instead; the bytes are the same either way. Throws
+// std::system_error naming the path and errno when the file cannot be
+// opened or read (a directory fails its read with EISDIR).
+class FileBytes {
+ public:
+  explicit FileBytes(const std::string& path);
+  ~FileBytes();
+
+  FileBytes(const FileBytes&) = delete;
+  FileBytes& operator=(const FileBytes&) = delete;
+
+  std::string_view data() const noexcept { return data_; }
+  // True when the bytes are mmapped (false = read fallback).
+  bool mapped() const noexcept { return map_ != nullptr; }
+
+ private:
+  void* map_ = nullptr;    // mmap base, or null on the fallback path
+  std::size_t map_len_ = 0;
+  std::string buf_;        // fallback storage when mmap is unavailable
+  std::string_view data_;  // the file bytes, whichever way they arrived
+};
 
 // Atomically replaces `path` with `data`: write `path`.tmp via write_all_fd,
 // fsync, close (checked — a buffered ENOSPC at close is a failure, not a

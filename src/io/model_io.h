@@ -24,7 +24,13 @@ void save_model(const model::ModelSet& set, std::ostream& os,
 void save_model(const model::ModelSet& set, const std::string& path,
                 const ModelIoOptions& options = {});
 
-// Throws std::runtime_error on malformed input.
+// Throws std::runtime_error on malformed input, as
+// "load_model: <what> (section '<s>', near byte N)". Every numeral must be
+// exactly one number as std::from_chars reads it, and nothing but
+// whitespace may follow the 'end' trailer. The path overload maps the file
+// (or reads it when it cannot be mapped, e.g. a pipe) and names the path
+// and errno when it cannot be read; the stream overload reads the stream
+// to its end first.
 model::ModelSet load_model(std::istream& is);
 model::ModelSet load_model(const std::string& path);
 

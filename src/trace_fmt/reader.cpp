@@ -1,42 +1,14 @@
 #include "trace_fmt/reader.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <stdexcept>
 #include <utility>
 
-#include "io/file_util.h"
 #include "trace_fmt/cpgt.h"
 
 namespace cpg::trace_fmt {
 
-TraceReader::TraceReader(const std::string& path) : path_(path) {
-  // Map the file read-only when possible; any failure along the way (the
-  // file is empty — mmap rejects zero-length maps — a pipe, an exotic
-  // filesystem) silently falls back to reading the bytes into buf_.
-  const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd >= 0) {
-    struct stat st{};
-    if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
-      void* m = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                       PROT_READ, MAP_PRIVATE, fd, 0);
-      if (m != MAP_FAILED) {
-        map_ = m;
-        map_len_ = static_cast<std::size_t>(st.st_size);
-        // Block walks are front-to-back; let readahead run ahead of us.
-        ::madvise(map_, map_len_, MADV_SEQUENTIAL);
-        data_ = std::string_view(static_cast<const char*>(map_), map_len_);
-      }
-    }
-    ::close(fd);
-  }
-  if (map_ == nullptr) {
-    buf_ = io::read_file(path_);
-    data_ = buf_;
-  }
+TraceReader::TraceReader(const std::string& path)
+    : path_(path), file_(path_), data_(file_.data()) {
   fingerprint_ = decode_header(data_, path_, &version_);
   pos_ = k_header_bytes;
   DecodedBlock block;
@@ -54,10 +26,6 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
     spatial_ = block.spatial;
     has_spatial_ = true;
   }
-}
-
-TraceReader::~TraceReader() {
-  if (map_ != nullptr) ::munmap(map_, map_len_);
 }
 
 bool TraceReader::next_events(std::vector<ControlEvent>& out) {

@@ -6,12 +6,12 @@
 // magic, newer version — surfaces as a one-line std::runtime_error naming
 // the file and the failure, never as silently wrong events.
 //
-// The file bytes are mmapped read-only (MADV_SEQUENTIAL) rather than read
-// into a heap buffer: block decode then works directly over the page cache,
-// so opening a multi-GB trace costs no up-front copy and cat/validate scans
-// touch each page once. Files mmap cannot handle (empty files, pipes,
-// filesystems without mmap) fall back to a plain read — identical behavior,
-// just buffered.
+// The file bytes come through io::FileBytes: mmapped read-only
+// (MADV_SEQUENTIAL) rather than read into a heap buffer, so block decode
+// works directly over the page cache, opening a multi-GB trace costs no
+// up-front copy and cat/validate scans touch each page once. Files mmap
+// cannot handle (empty files, pipes, filesystems without mmap) fall back to
+// a plain read — identical behavior, just buffered.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +21,7 @@
 
 #include "core/trace.h"
 #include "core/types.h"
+#include "io/file_util.h"
 #include "trace_fmt/cpgt.h"
 
 namespace cpg::trace_fmt {
@@ -31,7 +32,6 @@ class TraceReader {
   // (which the writer always emits first). Throws std::runtime_error on any
   // malformed input.
   explicit TraceReader(const std::string& path);
-  ~TraceReader();
 
   TraceReader(const TraceReader&) = delete;
   TraceReader& operator=(const TraceReader&) = delete;
@@ -58,14 +58,12 @@ class TraceReader {
   std::uint64_t total_events() const noexcept { return total_events_; }
   const std::string& path() const noexcept { return path_; }
   // True when the file bytes are mmapped (false = read-file fallback).
-  bool mapped() const noexcept { return map_ != nullptr; }
+  bool mapped() const noexcept { return file_.mapped(); }
 
  private:
   std::string path_;
-  void* map_ = nullptr;    // mmap base, or null on the fallback path
-  std::size_t map_len_ = 0;
-  std::string buf_;        // fallback storage when mmap is unavailable
-  std::string_view data_;  // the file bytes, whichever way they arrived
+  io::FileBytes file_;
+  std::string_view data_;  // file_.data()
   std::size_t pos_ = 0;
   bool done_ = false;
   std::uint64_t fingerprint_ = 0;
